@@ -25,16 +25,18 @@ test:
 # race detector (the engine tests run with the invariant checker
 # enabled; internal/sim's TestScaleSmoke runs a 50k-host world twice —
 # sequentially and on the two-lane Time Warp engine, which must agree —
-# and the -short suite shrinks it to 5k; the pdes lane/rollback tests
-# and the cross-engine equivalence suite ride the same -race run), a
-# short fuzz smoke of the wire-format decoder, and the bench smokes
-# (one iteration at smoke scale: obs overhead must not perturb the
-# trace, and every engine must complete the small scale world).
+# and the -short suite shrinks it to 5k; the pdes lane tests and the
+# cross-engine equivalence suite ride the same -race run), short fuzz
+# smokes of the wire-format decoder and the replay-schedule importer,
+# and the bench smokes (one iteration at smoke scale: obs overhead must
+# not perturb the trace, and every engine must complete the small scale
+# world).
 check: fmt lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=10s ./internal/trace
 	$(MAKE) diffreplay
 	$(MAKE) bench-smoke
 
@@ -199,6 +201,7 @@ bench-compare:
 # Longer fuzzing session for local use.
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=2m ./internal/wire
+	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=2m ./internal/trace
 
 test-short:
 	$(GO) test -short ./...

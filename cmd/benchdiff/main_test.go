@@ -150,7 +150,7 @@ func TestDirection(t *testing.T) {
 		{"scale.h10/calendar.events", neutral},
 		{"scale.h10/calendar.ntot_rate.QBC", neutral},
 		{"replay.metrics.QBC_undone_plain", neutral},
-		{"pdes.rows.h10000/timewarp/l2.pdes_rollback_rate", neutral},
+		{"pdes.rows.h10000/conservative/l2.pdes_windows", neutral},
 	}
 	for _, c := range cases {
 		if got := direction(c.key); got != c.want {

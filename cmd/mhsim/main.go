@@ -260,8 +260,8 @@ func printRun(res *sim.Result, verbose bool) {
 			}
 		}
 		if st := res.PDES; st != nil {
-			fmt.Printf("pdes: mode=%s lanes=%d processed=%d windows=%d serial=%d fences=%d global=%d efficiency=%.3f\n",
-				st.Mode, st.Lanes, st.Processed, st.Windows, st.SerialSteps, st.WriteFences, st.GlobalEvents, st.Efficiency)
+			fmt.Printf("pdes: mode=%s lanes=%d processed=%d windows=%d serial=%d fences=%d global=%d\n",
+				st.Mode, st.Lanes, st.Processed, st.Windows, st.SerialSteps, st.WriteFences, st.GlobalEvents)
 		}
 	}
 }

@@ -119,7 +119,6 @@ type Simulator struct {
 	kind    QueueKind
 	seq     uint64
 	fired   uint64
-	stopped bool
 	running bool
 
 	cur  *Event // event whose handler is currently executing (Again target)
@@ -402,10 +401,6 @@ func (s *Simulator) Cancel(e *Event) bool {
 	return true
 }
 
-// Stop makes Run return after the currently executing handler (if any)
-// completes. Pending events stay queued.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // fire executes one popped event and recycles it if it is pool-owned and
 // was not rescheduled by its own handler (Again/Reschedule re-queue it,
 // which shows as the entry being queued again).
@@ -427,10 +422,9 @@ func (s *Simulator) fire(e *Event) {
 	}
 }
 
-// Run executes events until the queue is empty, the horizon is passed, or
-// Stop is called. Events scheduled exactly at the horizon still fire;
-// later ones stay queued. It returns the number of events fired by this
-// call.
+// Run executes events until the queue is empty or the horizon is passed.
+// Events scheduled exactly at the horizon still fire; later ones stay
+// queued. It returns the number of events fired by this call.
 //
 // Run rejects misuse with a descriptive panic (matching At's contract):
 // calling it from inside an event handler (re-entrancy would corrupt the
@@ -449,9 +443,8 @@ func (s *Simulator) Run(horizon Time) uint64 {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	s.stopped = false
 	start := s.fired
-	for !s.stopped {
+	for {
 		ent := s.queue.Pop()
 		if ent == nil {
 			break

@@ -143,31 +143,6 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	sim := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		sim.At(Time(i), "e", func(s *Simulator, now Time) {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	sim.Run(100)
-	if count != 3 {
-		t.Fatalf("count after stop = %d", count)
-	}
-	if sim.Pending() != 7 {
-		t.Fatalf("pending = %d", sim.Pending())
-	}
-	// A subsequent Run resumes.
-	sim.Run(100)
-	if count != 10 {
-		t.Fatalf("count after resume = %d", count)
-	}
-}
-
 func TestStep(t *testing.T) {
 	sim := New()
 	count := 0

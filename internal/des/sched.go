@@ -50,12 +50,11 @@ type solo struct {
 }
 
 // key stamps emitter's next emission, growing the ordinal table on
-// first sight of a new emitter (dynamic joins).
+// first sight of a new emitter (start-up, dynamic joins). append
+// amortizes the growth: start-up meets emitters 0..n-1 in order.
 func (w *solo) key(emitter int) uint64 {
-	if emitter >= len(w.ord) {
-		grown := make([]uint32, emitter+1)
-		copy(grown, w.ord)
-		w.ord = grown
+	for emitter >= len(w.ord) {
+		w.ord = append(w.ord, 0)
 	}
 	k := KeyFor(emitter, w.ord[emitter])
 	w.ord[emitter]++

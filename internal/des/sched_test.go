@@ -2,6 +2,7 @@ package des
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -137,4 +138,37 @@ func TestNextTimeStep(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
 	}
+}
+
+// soloStartupBytesPerEmitter measures the heap bytes Solo allocates while
+// n fresh emitters each schedule one event — the start-up pattern of a
+// world touching hosts 0..n-1 in order.
+func soloStartupBytesPerEmitter(n int) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := Solo(New())
+	fn := ArgHandler(func(*Simulator, Time, any) {})
+	for e := 0; e < n; e++ {
+		w.ScheduleArg(e, 1, "start", fn, nil)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestSoloKeyAllocsLinear is the complexity gate on Solo's per-emitter
+// ordinal table: start-up cost per emitter must not grow with n. A
+// table regrown to exactly emitter+1 on every new emitter copies O(n²)
+// bytes, so bytes per emitter would grow tenfold from n=5k to n=50k;
+// amortized growth keeps it flat.
+func TestSoloKeyAllocsLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc bounds only hold in normal builds")
+	}
+	small := soloStartupBytesPerEmitter(5_000)
+	large := soloStartupBytesPerEmitter(50_000)
+	if large > 2*small {
+		t.Fatalf("Solo start-up allocates %.0f B/emitter at n=50k vs %.0f at n=5k; want within 2x (linear)", large, small)
+	}
+	t.Logf("Solo start-up: %.0f B/emitter at n=5k, %.0f at n=50k", small, large)
 }

@@ -507,9 +507,6 @@ func (c *Core) Run() {
 		fired += l.fired
 	}
 	c.stats.Processed.Store(fired)
-	// Risk-free execution: nothing speculative ever fires, so every
-	// processed event is committed on execution.
-	c.stats.Committed.Store(fired)
 }
 
 // Fired returns the total lane events executed.
@@ -842,45 +839,31 @@ func (l *lane) spinYield(n *int) {
 	}
 }
 
-// Instrument registers the pdes instruments on reg: processed/committed
-// event totals, rollback and anti-message counters, GVT activity, and
-// the conservative-driver shape. Gauges sample the live atomics.
+// Instrument registers the pdes instruments on reg: the processed
+// event total, the bounded-lag coordinator's GVT sampling, and each
+// driver's shape counters. Gauges sample the live atomics.
 func (s *Stats) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	for _, h := range [][2]string{
 		{"pdes_lanes", "Logical processes (lanes) the parallel engine runs."},
-		{"pdes_events_processed_total", "Events executed, including any later rolled back."},
-		{"pdes_events_committed_total", "Events committed past GVT (never undone)."},
-		{"pdes_rollbacks_total", "Time Warp rollbacks triggered by straggler messages."},
-		{"pdes_events_rolled_back_total", "Events undone by rollbacks."},
-		{"pdes_anti_messages_sent_total", "Anti-messages sent to cancel optimistic sends."},
-		{"pdes_anti_messages_annihilated_total", "Anti-messages that met and cancelled their positive message."},
-		{"pdes_gvt_rounds_total", "Global-virtual-time computation rounds."},
+		{"pdes_events_processed_total", "Events executed across the lanes."},
+		{"pdes_gvt_rounds_total", "Frontier samples taken by the bounded-lag coordinator."},
 		{"pdes_gvt_lag_max_millitu", "Largest observed lag behind GVT, in milli-time-units."},
-		{"pdes_windows_total", "Synchronization windows executed by the bounded-lag drivers."},
-		{"pdes_serial_steps_total", "World-stopped serial steps (joins, global events)."},
-		{"pdes_write_fences_total", "Cross-lane write fences taken by the conservative driver."},
-		{"pdes_global_events_total", "Events executed in the world-stopped global phase."},
-		{"pdes_fossils_total", "State records reclaimed by fossil collection."},
-		{"pdes_efficiency_ppm", "Committed/processed event ratio, in parts per million."},
+		{"pdes_windows_total", "Lookahead windows executed by the conservative driver."},
+		{"pdes_serial_steps_total", "Shared-state writes the conservative driver ran as serialized single steps."},
+		{"pdes_write_fences_total", "Cross-lane write fences taken by the bounded-lag driver."},
+		{"pdes_global_events_total", "Global-timeline events (markers, ticks, GC, joins) run world-stopped."},
 	} {
 		reg.Help(h[0], h[1])
 	}
 	reg.GaugeFunc("pdes_lanes", func() int64 { return int64(s.Lanes) })
 	reg.CounterFunc("pdes_events_processed_total", func() int64 { return int64(s.Processed.Load()) })
-	reg.CounterFunc("pdes_events_committed_total", func() int64 { return int64(s.Committed.Load()) })
-	reg.CounterFunc("pdes_rollbacks_total", func() int64 { return int64(s.Rollbacks.Load()) })
-	reg.CounterFunc("pdes_events_rolled_back_total", func() int64 { return int64(s.RolledBack.Load()) })
-	reg.CounterFunc("pdes_anti_messages_sent_total", func() int64 { return int64(s.AntiSent.Load()) })
-	reg.CounterFunc("pdes_anti_messages_annihilated_total", func() int64 { return int64(s.AntiAnnihilated.Load()) })
 	reg.CounterFunc("pdes_gvt_rounds_total", func() int64 { return int64(s.GVTRounds.Load()) })
 	reg.GaugeFunc("pdes_gvt_lag_max_millitu", func() int64 { return int64(s.GVTLagMax() * 1000) })
 	reg.CounterFunc("pdes_windows_total", func() int64 { return int64(s.Windows.Load()) })
 	reg.CounterFunc("pdes_serial_steps_total", func() int64 { return int64(s.SerialSteps.Load()) })
 	reg.CounterFunc("pdes_write_fences_total", func() int64 { return int64(s.WriteFences.Load()) })
 	reg.CounterFunc("pdes_global_events_total", func() int64 { return int64(s.GlobalEvents.Load()) })
-	reg.CounterFunc("pdes_fossils_total", func() int64 { return int64(s.Fossils.Load()) })
-	reg.GaugeFunc("pdes_efficiency_ppm", func() int64 { return int64(s.Efficiency() * 1e6) })
 }

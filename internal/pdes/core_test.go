@@ -34,6 +34,18 @@ type toyOwner struct {
 
 const toyHorizon = 28.0
 
+// splitmix is the SplitMix64 step: each owner's private rng stream.
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	z := x
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
+}
+
 func newToyWorld(n int, look des.Time) *toyWorld {
 	w := &toyWorld{n: n, look: look, owners: make([]toyOwner, n)}
 	for o := range w.owners {
@@ -186,9 +198,6 @@ func TestCoreEquivalence(t *testing.T) {
 			}
 			if fired != refFired {
 				t.Errorf("%s lanes=%d: fired %d, want %d", mode, lanes, fired, refFired)
-			}
-			if st.Efficiency() != 1 {
-				t.Errorf("%s lanes=%d: risk-free driver efficiency %v, want 1", mode, lanes, st.Efficiency())
 			}
 			if st.GlobalEvents.Load() == 0 {
 				t.Errorf("%s lanes=%d: no global events interleaved", mode, lanes)

@@ -121,9 +121,8 @@ func TestFigureTablesEngineEquivalence(t *testing.T) {
 }
 
 // TestParallelRunStats checks the parallel engines report their run
-// accounting: every processed event commits (risk-free execution), the
-// event totals reconcile with the sequential count, and the instruments
-// land in the registry.
+// accounting: lane events are counted, the event totals reconcile with
+// the sequential count, and the instruments land in the registry.
 func TestParallelRunStats(t *testing.T) {
 	cfg := sweepConfig()
 	seqRes, err := Run(cfg)
@@ -149,14 +148,8 @@ func TestParallelRunStats(t *testing.T) {
 		if st.Lanes != 2 || st.Mode != mode.String() {
 			t.Errorf("%s: stats identity = %d lanes mode %s", mode, st.Lanes, st.Mode)
 		}
-		if st.Processed == 0 || st.Processed != st.Committed {
-			t.Errorf("%s: processed=%d committed=%d, want equal and positive", mode, st.Processed, st.Committed)
-		}
-		if st.Efficiency != 1 {
-			t.Errorf("%s: efficiency %v, want 1 (risk-free execution)", mode, st.Efficiency)
-		}
-		if st.Rollbacks != 0 || st.RolledBack != 0 {
-			t.Errorf("%s: rollbacks=%d rolledBack=%d on irreversible world", mode, st.Rollbacks, st.RolledBack)
+		if st.Processed == 0 {
+			t.Errorf("%s: no lane events processed", mode)
 		}
 		if res.EventsFired != seqRes.EventsFired {
 			t.Errorf("%s: events fired %d, sequential %d", mode, res.EventsFired, seqRes.EventsFired)

@@ -134,11 +134,16 @@ func (s *Schedule) Validate() error {
 	}
 	n := s.Hosts
 	lastTick := uint64(0)
-	connected := make([]bool, n)
-	station := make([]int, n)
-	for i := range station {
-		connected[i] = true
-		station[i] = i % s.Stations
+	// Host state is kept only for hosts the events touch, so memory is
+	// bounded by the input, not by the Hosts field it claims: every host
+	// starts connected at station i mod Stations.
+	disconnected := make(map[int]bool)
+	moved := make(map[int]int)
+	stationOf := func(h int) int {
+		if st, ok := moved[h]; ok {
+			return st
+		}
+		return h % s.Stations
 	}
 	sent := make(map[uint64]ScheduleEvent)
 	delivered := make(map[uint64]bool)
@@ -157,7 +162,7 @@ func (s *Schedule) Validate() error {
 		}
 		switch ev.Kind {
 		case SchedSend:
-			if !connected[ev.Host] {
+			if disconnected[ev.Host] {
 				return fmt.Errorf("schedule: event %d: host %d sends while disconnected", i, ev.Host)
 			}
 			if ev.Peer < 0 || ev.Peer >= n || ev.Peer == ev.Host {
@@ -168,7 +173,7 @@ func (s *Schedule) Validate() error {
 			}
 			sent[ev.Msg] = ev
 		case SchedDeliver:
-			if !connected[ev.Host] {
+			if disconnected[ev.Host] {
 				return fmt.Errorf("schedule: event %d: host %d delivers while disconnected", i, ev.Host)
 			}
 			snd, ok := sent[ev.Msg]
@@ -184,31 +189,31 @@ func (s *Schedule) Validate() error {
 			}
 			delivered[ev.Msg] = true
 		case SchedHandoff:
-			if !connected[ev.Host] {
+			if disconnected[ev.Host] {
 				return fmt.Errorf("schedule: event %d: host %d hands off while disconnected", i, ev.Host)
 			}
-			if ev.From != station[ev.Host] {
+			if at := stationOf(ev.Host); ev.From != at {
 				return fmt.Errorf("schedule: event %d hands host %d off from station %d, but it is at %d",
-					i, ev.Host, ev.From, station[ev.Host])
+					i, ev.Host, ev.From, at)
 			}
 			if ev.To < 0 || ev.To >= s.Stations || ev.To == ev.From {
 				return fmt.Errorf("schedule: event %d has bad handoff target %d", i, ev.To)
 			}
-			station[ev.Host] = ev.To
+			moved[ev.Host] = ev.To
 		case SchedDisconnect:
-			if !connected[ev.Host] {
+			if disconnected[ev.Host] {
 				return fmt.Errorf("schedule: event %d: host %d disconnects twice", i, ev.Host)
 			}
-			connected[ev.Host] = false
+			disconnected[ev.Host] = true
 		case SchedReconnect:
-			if connected[ev.Host] {
+			if !disconnected[ev.Host] {
 				return fmt.Errorf("schedule: event %d: host %d reconnects while connected", i, ev.Host)
 			}
-			if ev.To != station[ev.Host] {
+			if at := stationOf(ev.Host); ev.To != at {
 				return fmt.Errorf("schedule: event %d reconnects host %d at station %d, not its last station %d",
-					i, ev.Host, ev.To, station[ev.Host])
+					i, ev.Host, ev.To, at)
 			}
-			connected[ev.Host] = true
+			delete(disconnected, ev.Host)
 		case SchedJoin:
 			if ev.Host != n {
 				return fmt.Errorf("schedule: event %d joins host %d, want next id %d", i, ev.Host, n)
@@ -217,8 +222,7 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("schedule: event %d joins at bad station %d", i, ev.To)
 			}
 			n++
-			connected = append(connected, true)
-			station = append(station, ev.To)
+			moved[ev.Host] = ev.To
 		default:
 			return fmt.Errorf("schedule: event %d has unknown kind %q", i, ev.Kind)
 		}
