@@ -30,7 +30,9 @@ test:
 # smokes of the wire-format decoder and the replay-schedule importer,
 # and the bench smokes (one iteration at smoke scale: obs overhead must
 # not perturb the trace, and every engine must complete the small scale
-# world).
+# world), and the benchmark harness, a module of its own that the
+# root module's build does not see (vet/test rather than build, which
+# would drop a binary in perfbench/).
 check: fmt lint
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -39,9 +41,11 @@ check: fmt lint
 	$(GO) test -fuzz=FuzzImportSchedule -fuzztime=10s ./internal/trace
 	$(MAKE) diffreplay
 	$(MAKE) bench-smoke
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # E24, the sim<->live differential-replay gate: the randomized matrix
-# (TP/BCS/QBC x seeds x mobility rates, live recording replayed through
+# (every unclocked protocol of the registry — TP/BCS/QBC/UNC today — x
+# seeds x mobility rates, live recording replayed through
 # the deterministic engine, decision logs held byte-identical) runs
 # under the race detector, then the CLI round-trip is smoked — a live
 # run recorded by examples/live must replay clean through mhsim, and a

@@ -16,6 +16,7 @@ import (
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/obs"
 	"mobickpt/internal/pdes"
+	"mobickpt/internal/protocol"
 	"mobickpt/internal/sim"
 	"mobickpt/internal/stats"
 )
@@ -34,8 +35,8 @@ func main() {
 		seeds      = flag.Int("seeds", 1, "number of replication seeds")
 		seed       = flag.Uint64("seed", 1, "base seed")
 		workers    = flag.Int("workers", 0, "worker pool size for multi-seed replication; 0 = GOMAXPROCS")
-		protos     = flag.String("protocols", "TP,BCS,QBC", "comma-separated protocols (TP,BCS,QBC,UNC,CL,PS,MS)")
-		snapshot   = flag.Float64("snapshot", 100, "snapshot period for CL/PS")
+		protos     = flag.String("protocols", "TP,BCS,QBC", "comma-separated protocols ("+strings.Join(protocol.Names(), ",")+")")
+		snapshot   = flag.Float64("snapshot", 100, "period of the coordinated snapshots and timer-driven checkpoints of the protocols that need a clock")
 		verbose    = flag.Bool("v", false, "print substrate counters and energy details, and report simulated-time progress to stderr")
 		jsonOut    = flag.Bool("json", false, "emit the single-run result as JSON")
 		checks     = flag.Bool("checks", false, "run the invariant checker during the simulation (fails on any violation)")

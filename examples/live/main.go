@@ -26,10 +26,12 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"mobickpt/internal/live"
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/obs"
+	"mobickpt/internal/protocol"
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/replaycmp"
 )
@@ -38,7 +40,7 @@ func main() {
 	debug := flag.String("debug", "", "serve /debug/pprof/ and /metrics on this address while running (e.g. :6060)")
 	timeline := flag.String("timeline", "", "write the protocol-event timeline (with causal flows) as Chrome trace JSON to this file")
 	record := flag.String("record", "", "write the run's schedule + decision log as a replaycmp bundle to this file (for mhsim -replay-schedule)")
-	proto := flag.String("protocol", "QBC", "protocol to run: TP, BCS, QBC or UNC")
+	proto := flag.String("protocol", "QBC", "protocol to run, one of "+strings.Join(protocol.Names(), ", ")+" (the live cluster rejects those that need a clock)")
 	seed := flag.Uint64("seed", 1, "cluster seed")
 	flag.Parse()
 
@@ -56,11 +58,7 @@ func main() {
 		cfg.Record = true
 	}
 
-	mk, err := live.Factory(*proto)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cluster, err := live.NewCluster(cfg, mk)
+	cluster, err := live.NewCluster(cfg, *proto)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,15 +41,7 @@ func main() {
 			failed := mobile.HostID(f)
 
 			// Seed the rollback with the protocol's own on-the-fly line...
-			var seedCut recovery.Cut
-			switch pr.Name {
-			case sim.TP:
-				seedCut = recovery.VectorCut(pr.Store, sim.TPMeta(pr), n, failed)
-			case sim.BCS, sim.QBC:
-				seedCut = recovery.LatestIndexCut(pr.Store, n, failed)
-			default:
-				seedCut = recovery.FailureCut(pr.Store, n, failed)
-			}
+			seedCut := sim.SeedCut(pr, n, failed)
 			// ...then eliminate any remaining orphans (zero steps for the
 			// index protocols; a cascade for the uncoordinated baseline).
 			cut, steps := recovery.Propagate(pr.Trace, seedCut)

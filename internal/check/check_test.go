@@ -148,6 +148,50 @@ func TestRuntimeDetectsMissedSupersession(t *testing.T) {
 	}
 }
 
+// TP's own LOC entry must name the station that stored the checkpoint.
+// A TP wired to a static placement instead of the hosts' real stations
+// goes stale at the first hand-off; the checker must catch that wiring.
+func TestRuntimeDetectsStaleTPLocation(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stale bool
+	}{{"live-station", false}, {"static-station", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := storage.NewStore(storage.DefaultCostModel())
+			station := []mobile.MSSID{0, 0}
+			ckpt := func(h mobile.HostID, index int, kind storage.Kind) *storage.Record {
+				return store.Take(h, station[h], index, kind, 0)
+			}
+			mssOf := func(h mobile.HostID) mobile.MSSID { return station[h] }
+			if tc.stale {
+				mssOf = func(mobile.HostID) mobile.MSSID { return 0 }
+			}
+			tp := protocol.NewTP(2, ckpt, mssOf)
+			rt := NewRuntime("TP", tp, store, func() des.Time { return 0 })
+			tp.Init()
+			rt.AfterInit(2)
+
+			station[0] = 1
+			tp.OnCellSwitch(0, 1)
+			rt.AfterCellSwitch(0)
+
+			vs := rt.Finish([]int{2, 1})
+			found := false
+			for _, v := range vs {
+				if v.Host == 0 && strings.Contains(v.Detail, "LOC own entry 0 != storing station 1") {
+					found = true
+				}
+			}
+			if tc.stale && !found {
+				t.Fatalf("stale TP location not detected:\n%v", vs)
+			}
+			if !tc.stale && len(vs) != 0 {
+				t.Fatalf("clean TP run reported violations:\n%v", vs)
+			}
+		})
+	}
+}
+
 // The checker must flag checkpoints the model did not expect (here: a
 // record appended behind the protocol's back) and count mismatches.
 func TestRuntimeDetectsReconcileDrift(t *testing.T) {

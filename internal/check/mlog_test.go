@@ -14,7 +14,7 @@ import (
 // matching log (recv counts 1..k).
 func loggedTrace(t *testing.T, mode mlog.Mode, k int) (*mlog.Log, *trace.Trace) {
 	t.Helper()
-	lg, err := mlog.New(mlog.DefaultConfig(mode))
+	lg, err := mlog.New(mode, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestLogReconciliationDetectsMissingEntry(t *testing.T) {
 }
 
 func TestLogReconciliationDetectsMismatch(t *testing.T) {
-	lg, err := mlog.New(mlog.DefaultConfig(mlog.Pessimistic))
+	lg, err := mlog.New(mlog.Pessimistic, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestReplayReconciliationDetectsViolations(t *testing.T) {
 }
 
 func TestReplayReconciliationRejectsUnstableEntry(t *testing.T) {
-	lg, err := mlog.New(mlog.Config{Mode: mlog.Optimistic, FlushBatch: 100, EntryBytes: 64})
+	lg, err := mlog.New(mlog.Optimistic, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

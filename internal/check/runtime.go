@@ -17,18 +17,14 @@ const (
 	// checkpoints: mobility events append Basic records, markers append
 	// Forced ones, deliveries append nothing.
 	plain family = iota
-	// index protocols (BCS, MS) follow the strict sequence-number rules.
+	// index protocols (every protocol.Indexed one but QBC: BCS, MS)
+	// follow the strict sequence-number rules.
 	index
 	// equiv is QBC: the index rules plus the checkpoint-equivalence rule.
 	equiv
 	// twophase is TP: Russell's receive-after-send forcing rule.
 	twophase
 )
-
-// sequencer is the introspection surface the index protocols expose.
-type sequencer interface {
-	SequenceNumber(h mobile.HostID) int
-}
 
 // maxViolations bounds the per-protocol violation list; a systematically
 // broken run would otherwise accumulate one entry per event.
@@ -45,7 +41,7 @@ type Runtime struct {
 	now   func() des.Time
 	fam   family
 
-	seq sequencer                                       // BCS/QBC/MS
+	seq protocol.Indexed                                // BCS/QBC/MS
 	rcv interface{ ReceiveNumber(h mobile.HostID) int } // QBC
 	tp  *protocol.TP                                    // TP
 
@@ -63,15 +59,16 @@ type Runtime struct {
 // supplies the simulated clock for violation reports.
 func NewRuntime(name string, p protocol.Protocol, store *storage.Store, now func() des.Time) *Runtime {
 	r := &Runtime{proto: name, store: store, now: now, fam: plain}
+	r.seq, _ = p.(protocol.Indexed)
 	switch pp := p.(type) {
-	case *protocol.BCS:
-		r.fam, r.seq = index, pp
-	case *protocol.MS:
-		r.fam, r.seq = index, pp
 	case *protocol.QBC:
-		r.fam, r.seq, r.rcv = equiv, pp, pp
+		r.fam, r.rcv = equiv, pp
 	case *protocol.TP:
 		r.fam, r.tp = twophase, pp
+	default:
+		if r.seq != nil {
+			r.fam = index
+		}
 	}
 	return r
 }
@@ -147,8 +144,10 @@ func (r *Runtime) checkSeq(h mobile.HostID, rule string) {
 }
 
 // checkTPMeta asserts the dependency vectors recorded with rec are
-// well-formed: present, own entry equal to the checkpoint index, and LOC
-// carrying a station for every finite dependency.
+// well-formed: present, own CKPT entry equal to the checkpoint index, own
+// LOC entry equal to the station that stored it (so TP's location vector
+// follows the host through hand-offs), and LOC carrying a station for
+// every finite dependency.
 func (r *Runtime) checkTPMeta(h mobile.HostID, rec *storage.Record, rule string) {
 	if r.tp == nil || rec == nil {
 		return
@@ -160,6 +159,9 @@ func (r *Runtime) checkTPMeta(h mobile.HostID, rec *storage.Record, rule string)
 	}
 	if meta.Ckpt[h] != rec.Index {
 		r.violatef(h, rule, "checkpoint %s: CKPT own entry %d != index %d", rec.ID(), meta.Ckpt[h], rec.Index)
+	}
+	if meta.Loc[h] != int(rec.MSS) {
+		r.violatef(h, rule, "checkpoint %s: LOC own entry %d != storing station %d", rec.ID(), meta.Loc[h], rec.MSS)
 	}
 	for j := range meta.Ckpt {
 		if meta.Ckpt[j] >= 0 && meta.Loc[j] < 0 {

@@ -147,37 +147,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NewProtocol constructs the protocol under test for n hosts; implement
-// it with the constructors of internal/protocol. mssOf reports a host's
-// current (or, while disconnected, last) station — protocols that track
-// checkpoint locations (TP) need the real one, not a static guess, or
-// their piggybacked location vectors go stale after the first hand-off.
-type NewProtocol func(n int, ck protocol.Checkpointer, store *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) protocol.Protocol
-
-// Factory returns the constructor for one of the live-supported
-// protocols: TP, BCS, QBC or UNC.
-func Factory(name string) (NewProtocol, error) {
-	switch name {
-	case "TP":
-		return func(n int, ck protocol.Checkpointer, _ *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-			return protocol.NewTP(n, ck, mssOf)
-		}, nil
-	case "BCS":
-		return func(n int, ck protocol.Checkpointer, _ *storage.Store, _ func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-			return protocol.NewBCS(n, ck)
-		}, nil
-	case "QBC":
-		return func(n int, ck protocol.Checkpointer, store *storage.Store, _ func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-			return protocol.NewQBC(n, ck, store)
-		}, nil
-	case "UNC":
-		return func(n int, ck protocol.Checkpointer, _ *storage.Store, _ func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-			return protocol.NewUncoordinated(n, ck)
-		}, nil
-	}
-	return nil, fmt.Errorf("live: no protocol %q (want TP, BCS, QBC or UNC)", name)
-}
-
 // packet is what travels on the channels: a routing header the stations
 // read, plus the marshaled frame (internal/wire) the receiving host
 // decodes — the piggyback really crosses the "network" as bytes.
@@ -378,10 +347,16 @@ func (c *Cluster) beginEvent(kind, cause string, host, peer int, msg uint64, fro
 	return now
 }
 
-// NewCluster wires a cluster; Run starts it.
-func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
+// NewCluster wires a cluster running the registered protocol proto
+// (internal/protocol); Run starts it. The cluster drives no clock, so a
+// protocol that needs one (protocol.Clocked) is rejected.
+func NewCluster(cfg Config, proto string) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	mk, err := protocol.Lookup(proto)
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
 	}
 	c := &Cluster{
 		cfg:      cfg,
@@ -412,11 +387,7 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 		c.wired[s] = make(chan packet, capacity)
 	}
 	if cfg.LogMode != mlog.Off {
-		lcfg := mlog.DefaultConfig(cfg.LogMode)
-		if cfg.LogFlushBatch > 0 {
-			lcfg.FlushBatch = cfg.LogFlushBatch
-		}
-		lg, err := mlog.New(lcfg)
+		lg, err := mlog.New(cfg.LogMode, cfg.LogFlushBatch)
 		if err != nil {
 			return nil, err
 		}
@@ -430,6 +401,9 @@ func NewCluster(cfg Config, mk NewProtocol) (*Cluster, error) {
 		}
 	}
 	c.proto = mk(cfg.Hosts, c.checkpointer(), c.store, c.StationOf)
+	if protocol.Clocked(c.proto) {
+		return nil, fmt.Errorf("live: protocol %s needs a clock the live cluster does not drive", proto)
+	}
 	if cfg.Record {
 		c.sched = trace.NewSchedule(cfg.Hosts, cfg.Stations, c.proto.Name(), cfg.Seed)
 		c.dec = replaycmp.NewLog(c.proto.Name(), cfg.Hosts)

@@ -6,27 +6,11 @@ import (
 	"mobickpt/internal/mobile"
 	"mobickpt/internal/protocol"
 	"mobickpt/internal/recovery"
-	"mobickpt/internal/storage"
 )
 
-func bcsFactory(n int, ck protocol.Checkpointer, store *storage.Store, _ func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-	return protocol.NewBCS(n, ck)
-}
-
-func qbcFactory(n int, ck protocol.Checkpointer, store *storage.Store, _ func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-	return protocol.NewQBC(n, ck, store)
-}
-
-// tpFactory wires TP to the cluster's live location directory: the
-// protocol's piggybacked location vectors track hand-offs instead of
-// guessing a static placement (which went stale after the first move).
-func tpFactory(n int, ck protocol.Checkpointer, store *storage.Store, mssOf func(mobile.HostID) mobile.MSSID) protocol.Protocol {
-	return protocol.NewTP(n, ck, mssOf)
-}
-
-func runCluster(t *testing.T, cfg Config, mk NewProtocol) *Cluster {
+func runCluster(t *testing.T, cfg Config, proto string) *Cluster {
 	t.Helper()
-	c, err := NewCluster(cfg, mk)
+	c, err := NewCluster(cfg, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +35,20 @@ func TestValidate(t *testing.T) {
 		if c.Validate() == nil {
 			t.Fatalf("mutation %d should fail", i)
 		}
-		if _, err := NewCluster(c, bcsFactory); err == nil {
+		if _, err := NewCluster(c, "BCS"); err == nil {
 			t.Fatalf("NewCluster with mutation %d should fail", i)
+		}
+	}
+	// Unknown protocols and protocols that need a clock are rejected.
+	for _, name := range []string{"XX", "CL", "MS"} {
+		if _, err := NewCluster(DefaultConfig(), name); err == nil {
+			t.Fatalf("NewCluster accepted protocol %s", name)
 		}
 	}
 }
 
 func TestMessageAccounting(t *testing.T) {
-	c := runCluster(t, DefaultConfig(), bcsFactory)
+	c := runCluster(t, DefaultConfig(), "BCS")
 	got := c.Counters()
 	if got.Sent == 0 {
 		t.Fatal("no messages sent")
@@ -82,20 +72,20 @@ func TestMessageAccounting(t *testing.T) {
 func TestDuplicateSuppression(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DupProbability = 0.5
-	c := runCluster(t, cfg, bcsFactory)
+	c := runCluster(t, cfg, "BCS")
 	if c.Counters().Duplicates == 0 {
 		t.Fatal("transport injected no duplicates at p=0.5")
 	}
 	// With duplication off, none must be counted.
 	cfg.DupProbability = 0
-	c = runCluster(t, cfg, bcsFactory)
+	c = runCluster(t, cfg, "BCS")
 	if c.Counters().Duplicates != 0 {
 		t.Fatal("duplicates counted with duplication disabled")
 	}
 }
 
 func TestMobilityHappens(t *testing.T) {
-	c := runCluster(t, DefaultConfig(), bcsFactory)
+	c := runCluster(t, DefaultConfig(), "BCS")
 	got := c.Counters()
 	if got.Switches == 0 || got.Disconnect == 0 {
 		t.Fatalf("no mobility: %+v", got)
@@ -111,18 +101,19 @@ func TestMobilityHappens(t *testing.T) {
 // from a real concurrent execution are consistent — under duplication,
 // real interleavings and mobility.
 func TestLiveIndexLinesConsistent(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   NewProtocol
-	}{
-		{"BCS", bcsFactory},
-		{"QBC", qbcFactory},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, name := range protocol.Names() {
+		p, err := protocol.Probe(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, indexed := p.(protocol.Indexed); !indexed || protocol.Clocked(p) {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
 				cfg := DefaultConfig()
 				cfg.Seed = seed
-				c := runCluster(t, cfg, tc.mk)
+				c := runCluster(t, cfg, name)
 				maxIdx := 0
 				for h := 0; h < cfg.Hosts; h++ {
 					for _, rec := range c.Store().Chain(mobile.HostID(h)) {
@@ -145,7 +136,7 @@ func TestLiveIndexLinesConsistent(t *testing.T) {
 // TP's recovery must converge with bounded propagation on live traces.
 func TestLiveTPRecoveryConverges(t *testing.T) {
 	cfg := DefaultConfig()
-	c := runCluster(t, cfg, tpFactory)
+	c := runCluster(t, cfg, "TP")
 	seed := recovery.FailureCut(c.Store(), cfg.Hosts, 0)
 	cut, _ := recovery.Propagate(c.Trace(), seed)
 	if recovery.Orphans(c.Trace(), cut) != 0 {
@@ -164,7 +155,7 @@ func TestLiveTPRecoveryConverges(t *testing.T) {
 // QBC invariants must hold at the end of a concurrent run.
 func TestLiveQBCInvariants(t *testing.T) {
 	cfg := DefaultConfig()
-	c := runCluster(t, cfg, qbcFactory)
+	c := runCluster(t, cfg, "QBC")
 	q := c.Protocol().(*protocol.QBC)
 	for h := mobile.HostID(0); int(h) < cfg.Hosts; h++ {
 		if q.ReceiveNumber(h) > q.SequenceNumber(h) {
@@ -186,7 +177,7 @@ func TestLiveQBCInvariants(t *testing.T) {
 
 func TestProtocolsSeeEveryHost(t *testing.T) {
 	cfg := DefaultConfig()
-	c := runCluster(t, cfg, bcsFactory)
+	c := runCluster(t, cfg, "BCS")
 	for h := 0; h < cfg.Hosts; h++ {
 		if len(c.Store().Chain(mobile.HostID(h))) == 0 {
 			t.Fatalf("host %d has no checkpoints", h)
@@ -201,7 +192,7 @@ func TestLiveDataPlane(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
-		c := runCluster(t, cfg, qbcFactory)
+		c := runCluster(t, cfg, "QBC")
 		got := c.Counters()
 		if got.DecodeErrors != 0 {
 			t.Fatalf("seed %d: %d frames failed to decode", seed, got.DecodeErrors)
@@ -221,7 +212,7 @@ func TestLiveDataPlane(t *testing.T) {
 // TP's O(n) vectors must also survive the wire.
 func TestLiveTPFramesDecode(t *testing.T) {
 	cfg := DefaultConfig()
-	c := runCluster(t, cfg, tpFactory)
+	c := runCluster(t, cfg, "TP")
 	got := c.Counters()
 	if got.DecodeErrors != 0 || got.StateErrors != 0 {
 		t.Fatalf("errors: %+v", got)
@@ -238,7 +229,7 @@ func TestLiveTPFramesDecode(t *testing.T) {
 // the incremental chains continue gap-free.
 func TestLiveRecoverExecutesRollback(t *testing.T) {
 	cfg := DefaultConfig()
-	c := runCluster(t, cfg, qbcFactory)
+	c := runCluster(t, cfg, "QBC")
 	// Every image on stable storage is intact before we start.
 	checked, err := c.VerifyImages()
 	if err != nil {
@@ -280,7 +271,7 @@ func TestLiveRecoverExecutesRollback(t *testing.T) {
 func TestLiveDynamicJoins(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Joins = 4
-	c := runCluster(t, cfg, qbcFactory)
+	c := runCluster(t, cfg, "QBC")
 	got := c.Counters()
 	if got.Joined != int64(cfg.Joins) {
 		t.Fatalf("joined = %d, want %d", got.Joined, cfg.Joins)

@@ -35,7 +35,7 @@ func TestValidateLogConfig(t *testing.T) {
 func TestLiveLoggingReconciles(t *testing.T) {
 	for _, mode := range []mlog.Mode{mlog.Pessimistic, mlog.Optimistic} {
 		t.Run(mode.String(), func(t *testing.T) {
-			c := runCluster(t, loggedConfig(mode), qbcFactory)
+			c := runCluster(t, loggedConfig(mode), "QBC")
 			got := c.Counters()
 			lg := c.MLog()
 			if lg == nil {
@@ -61,7 +61,7 @@ func TestLiveLoggingReconciles(t *testing.T) {
 // rolled-back hosts replay their logged suffixes, and with pessimistic
 // logging the rollback never propagates beyond the failed host.
 func TestLiveRecoverReplays(t *testing.T) {
-	c := runCluster(t, loggedConfig(mlog.Pessimistic), qbcFactory)
+	c := runCluster(t, loggedConfig(mlog.Pessimistic), "QBC")
 	rep, err := c.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestLiveRecoverReplays(t *testing.T) {
 func TestLiveRecoverOptimisticReplays(t *testing.T) {
 	cfg := loggedConfig(mlog.Optimistic)
 	cfg.LogFlushBatch = 4
-	c := runCluster(t, cfg, bcsFactory)
+	c := runCluster(t, cfg, "BCS")
 	rep, err := c.Recover(1)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestLiveRecoverOptimisticReplays(t *testing.T) {
 // Recover on a cluster that never ran: the failed host has no stable
 // checkpoint image, and the error must say so instead of panicking.
 func TestLiveRecoverNoStableCheckpoint(t *testing.T) {
-	c, err := NewCluster(DefaultConfig(), qbcFactory)
+	c, err := NewCluster(DefaultConfig(), "QBC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestLiveRecoverNoStableCheckpoint(t *testing.T) {
 }
 
 func TestLiveRecoverOutOfRangeHost(t *testing.T) {
-	c := runCluster(t, DefaultConfig(), bcsFactory)
+	c := runCluster(t, DefaultConfig(), "BCS")
 	for _, h := range []mobile.HostID{-1, 99} {
 		if _, err := c.Recover(h); err == nil {
 			t.Fatalf("Recover(%d) succeeded", h)
@@ -135,7 +135,7 @@ func TestLiveRecoverOutOfRangeHost(t *testing.T) {
 // the failing host identified) and through Recover when the rollback
 // needs that image.
 func TestLiveVerifyImagesReportsCorruption(t *testing.T) {
-	c := runCluster(t, DefaultConfig(), qbcFactory)
+	c := runCluster(t, DefaultConfig(), "QBC")
 	if _, err := c.VerifyImages(); err != nil {
 		t.Fatalf("images corrupt before tampering: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestLiveVerifyImagesReportsCorruption(t *testing.T) {
 // Image divergence after replay-aware recovery: the re-baselined images
 // written during Recover must themselves verify.
 func TestLiveImagesVerifyAfterReplayRecovery(t *testing.T) {
-	c := runCluster(t, loggedConfig(mlog.Pessimistic), qbcFactory)
+	c := runCluster(t, loggedConfig(mlog.Pessimistic), "QBC")
 	if _, err := c.Recover(0); err != nil {
 		t.Fatal(err)
 	}

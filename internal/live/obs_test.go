@@ -17,7 +17,7 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 	cfg.Joins = 2
 	cfg.LogMode = mlog.Optimistic
 	cfg.Metrics = obs.NewRegistry()
-	c, err := NewCluster(cfg, qbcFactory)
+	c, err := NewCluster(cfg, "QBC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 func TestMetricsDisabledIsNoop(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OpsPerHost = 50
-	c := runCluster(t, cfg, bcsFactory)
+	c := runCluster(t, cfg, "BCS")
 	if c.Counters().Delivered == 0 {
 		t.Fatal("no traffic delivered")
 	}

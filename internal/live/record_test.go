@@ -13,7 +13,7 @@ import (
 // tick must now be threaded through: strictly positive, and a message's
 // delivery strictly after its send.
 func TestLiveTraceTimestamps(t *testing.T) {
-	c := runCluster(t, DefaultConfig(), qbcFactory)
+	c := runCluster(t, DefaultConfig(), "QBC")
 	evs := c.Trace().Events()
 	if len(evs) == 0 {
 		t.Fatal("no deliveries")
@@ -78,7 +78,7 @@ func TestDupFilterBoundedInCluster(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DupProbability = 0.5
 	cfg.DupWindow = 1
-	c := runCluster(t, cfg, bcsFactory)
+	c := runCluster(t, cfg, "BCS")
 	if c.Counters().Duplicates == 0 {
 		t.Fatal("no duplicates exercised")
 	}
@@ -98,7 +98,7 @@ func TestRecordedScheduleConsistent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Record = true
 	cfg.Joins = 2
-	c := runCluster(t, cfg, qbcFactory)
+	c := runCluster(t, cfg, "QBC")
 	sched := c.Schedule()
 	if sched == nil {
 		t.Fatal("Record set but no schedule")
@@ -160,7 +160,7 @@ func TestRecordedScheduleConsistent(t *testing.T) {
 
 // Recording off: no schedule, no decision log, no recording overhead.
 func TestRecordOffByDefault(t *testing.T) {
-	c := runCluster(t, DefaultConfig(), bcsFactory)
+	c := runCluster(t, DefaultConfig(), "BCS")
 	if c.Schedule() != nil || c.Decisions() != nil {
 		t.Fatal("recording artifacts present without Config.Record")
 	}

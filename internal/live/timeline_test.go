@@ -15,7 +15,7 @@ import (
 func TestLiveTimeline(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Timeline = obs.NewTimeline()
-	c := runCluster(t, cfg, qbcFactory)
+	c := runCluster(t, cfg, "QBC")
 	rep, err := c.Recover(2)
 	if err != nil {
 		t.Fatal(err)

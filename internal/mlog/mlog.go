@@ -18,9 +18,9 @@
 //     Nothing delivered is ever lost, at the price of one stable write
 //     per message.
 //   - Optimistic (batched flush): entries accumulate in the MSS's
-//     volatile buffer and reach stable storage in batches of FlushBatch.
-//     A failure loses the unflushed suffix, bounding the stable-write
-//     rate by 1/FlushBatch per message.
+//     volatile buffer and reach stable storage in batches (New's flush
+//     threshold). A failure loses the unflushed suffix, bounding the
+//     stable-write rate by one write per batch.
 //
 // The log follows its host: a hand-off transfers the retained stable
 // entries to the new station over the wired network (write-through — the
@@ -80,36 +80,14 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// Config parameterizes a log.
-type Config struct {
-	Mode Mode
-	// FlushBatch is the optimistic flush threshold: a host's pending
-	// entries are written to stable storage once this many accumulate.
-	// Ignored by Pessimistic (every entry flushes alone).
-	FlushBatch int
-	// EntryBytes is the accounted stable-storage size of one log entry
-	// (message identity, positions, payload reference).
-	EntryBytes int64
-}
+// defaultFlushBatch is the optimistic flush threshold New uses when
+// given none: a host's pending entries are written to stable storage once
+// this many accumulate.
+const defaultFlushBatch = 8
 
-// DefaultConfig returns the default parameters for mode: batches of 8
-// entries, 64 bytes per entry.
-func DefaultConfig(mode Mode) Config {
-	return Config{Mode: mode, FlushBatch: 8, EntryBytes: 64}
-}
-
-// Validate reports a descriptive error for bad configurations.
-func (c Config) Validate() error {
-	switch {
-	case c.Mode != Pessimistic && c.Mode != Optimistic:
-		return fmt.Errorf("mlog: mode %v is not a logging mode", c.Mode)
-	case c.Mode == Optimistic && c.FlushBatch <= 0:
-		return fmt.Errorf("mlog: FlushBatch = %d, need > 0 for optimistic logging", c.FlushBatch)
-	case c.EntryBytes <= 0:
-		return fmt.Errorf("mlog: EntryBytes = %d, need > 0", c.EntryBytes)
-	}
-	return nil
-}
+// entryBytes is the accounted stable-storage size of one log entry
+// (message identity, positions, payload reference).
+const entryBytes = 64
 
 // Entry is one logged delivery.
 type Entry struct {
@@ -190,7 +168,13 @@ type hostLog struct {
 // one fails guardlint's completeness check.
 type Log struct {
 	//guard:none immutable after New
-	cfg Config
+	mode Mode
+
+	// flushBatch is the optimistic flush threshold (Pessimistic flushes
+	// every entry alone).
+	//
+	//guard:none immutable after New
+	flushBatch int
 
 	// hosts is indexed by HostID (ids are dense); slots stay nil until
 	// the host's first delivery is logged. A flat slice instead of a map
@@ -216,16 +200,23 @@ type Log struct {
 	OnFlush func(h mobile.HostID, entries int)
 }
 
-// New creates an empty log. cfg.Mode must be Pessimistic or Optimistic.
-func New(cfg Config) (*Log, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// New creates an empty log. mode must be Pessimistic or Optimistic;
+// flushBatch is the optimistic flush threshold, 0 selecting
+// defaultFlushBatch (Pessimistic ignores it).
+func New(mode Mode, flushBatch int) (*Log, error) {
+	switch {
+	case mode != Pessimistic && mode != Optimistic:
+		return nil, fmt.Errorf("mlog: mode %v is not a logging mode", mode)
+	case flushBatch < 0:
+		return nil, fmt.Errorf("mlog: flush batch = %d, need >= 0", flushBatch)
+	case flushBatch == 0:
+		flushBatch = defaultFlushBatch
 	}
-	return &Log{cfg: cfg}, nil
+	return &Log{mode: mode, flushBatch: flushBatch}, nil
 }
 
 // Mode returns the logging discipline.
-func (l *Log) Mode() Mode { return l.cfg.Mode }
+func (l *Log) Mode() Mode { return l.mode }
 
 // Counters returns a snapshot of the accumulated activity.
 func (l *Log) Counters() Counters { return l.counters }
@@ -282,7 +273,7 @@ func (l *Log) Instrument(reg *obs.Registry, kv ...string) {
 
 // Append logs one delivery to host h at station mss and returns the
 // entry. Pessimistic mode flushes it immediately; Optimistic buffers it
-// and flushes once FlushBatch entries are pending.
+// and flushes once a full batch of entries is pending.
 func (l *Log) Append(h, from mobile.HostID, msgID uint64, recvCount int, at des.Time, mss mobile.MSSID) *Entry {
 	hl := l.host(h)
 	if hl.mss == mobile.NoMSS {
@@ -292,7 +283,7 @@ func (l *Log) Append(h, from mobile.HostID, msgID uint64, recvCount int, at des.
 	hl.nextSeq++
 	hl.pending = append(hl.pending, e)
 	l.counters.Appended++
-	if l.cfg.Mode == Pessimistic || len(hl.pending) >= l.cfg.FlushBatch {
+	if l.mode == Pessimistic || len(hl.pending) >= l.flushBatch {
 		l.flush(hl)
 	}
 	return e
@@ -309,7 +300,7 @@ func (l *Log) flush(hl *hostLog) {
 	hl.pending = hl.pending[:0]
 	l.counters.Flushes++
 	l.counters.FlushedEntries += int64(n)
-	l.counters.StableBytes += int64(n) * l.cfg.EntryBytes
+	l.counters.StableBytes += int64(n) * entryBytes
 	l.retained += int64(n)
 	if l.retained > l.counters.PeakStableEntries {
 		l.counters.PeakStableEntries = l.retained
@@ -340,7 +331,7 @@ func (l *Log) Handoff(h mobile.HostID, to mobile.MSSID) []*Entry {
 	}
 	hl.mss = to
 	l.counters.Handoffs++
-	l.counters.TransferBytes += int64(len(hl.stable)) * l.cfg.EntryBytes
+	l.counters.TransferBytes += int64(len(hl.stable)) * entryBytes
 	return hl.stable
 }
 

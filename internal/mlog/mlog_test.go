@@ -9,11 +9,7 @@ import (
 
 func newLog(t *testing.T, mode Mode, batch int) *Log {
 	t.Helper()
-	cfg := DefaultConfig(mode)
-	if batch > 0 {
-		cfg.FlushBatch = batch
-	}
-	lg, err := New(cfg)
+	lg, err := New(mode, batch)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -27,19 +23,21 @@ func appendN(lg *Log, h mobile.HostID, n int, startRecv int) {
 }
 
 func TestValidate(t *testing.T) {
-	cases := []Config{
-		{Mode: Off, FlushBatch: 8, EntryBytes: 64},
-		{Mode: Optimistic, FlushBatch: 0, EntryBytes: 64},
-		{Mode: Pessimistic, FlushBatch: 8, EntryBytes: 0},
-		{Mode: Mode(42), FlushBatch: 8, EntryBytes: 64},
+	cases := []struct {
+		mode  Mode
+		batch int
+	}{
+		{Off, 8},
+		{Optimistic, -1},
+		{Mode(42), 8},
 	}
 	for _, c := range cases {
-		if err := c.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil, want error", c)
+		if _, err := New(c.mode, c.batch); err == nil {
+			t.Errorf("New(%v, %d) = nil error, want error", c.mode, c.batch)
 		}
 	}
-	if err := DefaultConfig(Pessimistic).Validate(); err != nil {
-		t.Errorf("default pessimistic config invalid: %v", err)
+	if _, err := New(Pessimistic, 0); err != nil {
+		t.Errorf("default pessimistic log rejected: %v", err)
 	}
 }
 

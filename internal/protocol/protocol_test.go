@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"strings"
 	"testing"
 
 	"mobickpt/internal/mobile"
@@ -478,5 +479,28 @@ func TestMSTickIncrements(t *testing.T) {
 	m.OnSend(0, 1)
 	if m.PiggybackBytes() != 2*8 { // one send() above plus this OnSend
 		t.Fatalf("piggyback = %d", m.PiggybackBytes())
+	}
+}
+
+// Every registry entry builds an instance that reports its registered
+// name, and an unknown name is rejected with the registered names listed.
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range Names() {
+		if seen[name] {
+			t.Fatalf("protocol %s registered twice", name)
+		}
+		seen[name] = true
+		p, err := Probe(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name() != name {
+			t.Errorf("registry entry %s builds a protocol named %s", name, p.Name())
+		}
+	}
+	_, err := Lookup("XX")
+	if err == nil || !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
+		t.Fatalf("Lookup(XX) error %v does not list the registered names", err)
 	}
 }

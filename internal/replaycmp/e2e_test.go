@@ -13,23 +13,37 @@ import (
 	"testing"
 
 	"mobickpt/internal/live"
+	"mobickpt/internal/protocol"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/sim"
 )
 
-func record(t *testing.T, cfg live.Config, protocol string) *live.Cluster {
+func record(t *testing.T, cfg live.Config, proto string) *live.Cluster {
 	t.Helper()
-	mk, err := live.Factory(protocol)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg.Record = true
-	c, err := live.NewCluster(cfg, mk)
+	c, err := live.NewCluster(cfg, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
 	return c
+}
+
+// unclocked lists the registered protocols that need no clock, in
+// registry order: exactly the ones a live cluster can record.
+func unclocked(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	for _, name := range protocol.Names() {
+		p, err := protocol.Probe(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !protocol.Clocked(p) {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 func replay(t *testing.T, c *live.Cluster) *sim.Result {
@@ -42,7 +56,8 @@ func replay(t *testing.T, c *live.Cluster) *sim.Result {
 }
 
 // The tentpole gate: live and replayed decisions must be identical for
-// every CIC protocol across seeds and mobility rates.
+// every registered protocol a live cluster can run (every unclocked one)
+// across seeds and mobility rates.
 func TestDifferentialReplay(t *testing.T) {
 	rates := []struct {
 		name              string
@@ -51,9 +66,9 @@ func TestDifferentialReplay(t *testing.T) {
 		{"calm", 0.05, 0.02},
 		{"stormy", 0.15, 0.08},
 	}
-	for _, protocol := range []string{"TP", "BCS", "QBC"} {
+	for _, proto := range unclocked(t) {
 		for _, rate := range rates {
-			t.Run(fmt.Sprintf("%s/%s", protocol, rate.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", proto, rate.name), func(t *testing.T) {
 				t.Parallel()
 				for seed := uint64(1); seed <= 5; seed++ {
 					cfg := live.DefaultConfig()
@@ -61,7 +76,7 @@ func TestDifferentialReplay(t *testing.T) {
 					cfg.OpsPerHost = 200
 					cfg.PSwitch = rate.pswitch
 					cfg.PDisconnect = rate.pdisconn
-					c := record(t, cfg, protocol)
+					c := record(t, cfg, proto)
 					res := replay(t, c)
 					if d := replaycmp.Compare(c.Decisions(), res.Decisions, c.Schedule()); d != nil {
 						t.Fatalf("seed %d: %v", seed, d)

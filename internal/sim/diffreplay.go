@@ -76,30 +76,21 @@ func runSchedule(cfg Config) (*Result, error) {
 		r.station[i] = i % sched.Stations
 	}
 	if cfg.MessageLog != mlog.Off {
-		lcfg := mlog.DefaultConfig(cfg.MessageLog)
-		if cfg.LogFlushBatch > 0 {
-			lcfg.FlushBatch = cfg.LogFlushBatch
-		}
-		lg, err := mlog.New(lcfg)
+		lg, err := mlog.New(cfg.MessageLog, cfg.LogFlushBatch)
 		if err != nil {
 			return nil, err
 		}
 		r.lg = lg
 	}
 
+	mk, err := protocol.Lookup(sched.Protocol)
+	if err != nil {
+		return nil, fmt.Errorf("sim: replay: %w", err)
+	}
 	mssOf := func(h mobile.HostID) mobile.MSSID { return mobile.MSSID(r.station[h]) }
-	ckpt := r.checkpointer()
-	switch sched.Protocol {
-	case string(TP):
-		r.proto = protocol.NewTP(sched.Hosts, ckpt, mssOf)
-	case string(BCS):
-		r.proto = protocol.NewBCS(sched.Hosts, ckpt)
-	case string(QBC):
-		r.proto = protocol.NewQBC(sched.Hosts, ckpt, r.store)
-	case string(UNC):
-		r.proto = protocol.NewUncoordinated(sched.Hosts, ckpt)
-	default:
-		return nil, fmt.Errorf("sim: schedule records unreplayable protocol %q (want TP, BCS, QBC or UNC)", sched.Protocol)
+	r.proto = mk(sched.Hosts, r.checkpointer(), r.store, mssOf)
+	if protocol.Clocked(r.proto) {
+		return nil, fmt.Errorf("sim: schedule records protocol %s, which needs a clock no replay drives", sched.Protocol)
 	}
 	if cfg.Checks {
 		r.ck = check.NewRuntime(sched.Protocol, r.proto, r.store, r.sim.Now)
@@ -145,8 +136,8 @@ func runSchedule(cfg Config) (*Result, error) {
 	r.dec.FinishRecoveryLines(r.store, r.tr)
 	res := r.result()
 	if r.ck != nil {
-		if err := r.finishChecks(res); err != nil {
-			return res, err
+		if vs := reconcile(r.ck, r.counts, &res.Protocols[0], res.FinalHosts, 0, r.sim.Now()); len(vs) > 0 {
+			return res, vs
 		}
 	}
 	return res, nil
@@ -277,24 +268,8 @@ func (r *replayRun) apply(ev trace.ScheduleEvent) {
 
 // result assembles the single-protocol Result of a replay run.
 func (r *replayRun) result() *Result {
-	initial, basic, forced := r.store.CountByKind(-1)
-	pr := ProtocolResult{
-		Name:           ProtocolName(r.sched.Protocol),
-		Ntot:           int64(basic + forced),
-		Initial:        int64(initial),
-		Basic:          int64(basic),
-		Forced:         int64(forced),
-		PiggybackBytes: r.proto.PiggybackBytes(),
-		Storage:        r.store.Counters(),
-		Causes:         r.causes,
-		Store:          r.store,
-		Trace:          r.tr,
-		MLog:           r.lg,
-		Instance:       r.proto,
-	}
-	if r.lg != nil {
-		pr.Log = r.lg.Counters()
-	}
+	pr := protocolResult(r.proto, r.store, r.tr, r.lg)
+	pr.Causes = r.causes
 	return &Result{
 		Config:      r.cfg,
 		FinalHosts:  r.sched.FinalHosts(),
@@ -302,29 +277,4 @@ func (r *replayRun) result() *Result {
 		Protocols:   []ProtocolResult{pr},
 		Decisions:   r.dec,
 	}
-}
-
-// finishChecks mirrors the generative engine's end-of-run reconciliation
-// for the single replayed protocol.
-func (r *replayRun) finishChecks(res *Result) error {
-	var all check.Violations
-	all = append(all, r.ck.Finish(r.counts)...)
-	pr := &res.Protocols[0]
-	if pr.Initial != int64(res.FinalHosts) {
-		all = append(all, &check.Violation{
-			Protocol: r.sched.Protocol, Time: r.sim.Now(), Rule: "reconcile",
-			Detail: fmt.Sprintf("%d initial checkpoints for %d hosts", pr.Initial, res.FinalHosts),
-		})
-	}
-	if r.lg != nil {
-		all = append(all, check.LogReconciliation(r.sched.Protocol, r.lg, r.tr, res.FinalHosts)...)
-	}
-	switch pr.Name {
-	case BCS, QBC:
-		all = append(all, check.RecoveryLines(r.sched.Protocol, r.store, r.tr, res.FinalHosts, 0)...)
-	}
-	if len(all) > 0 {
-		return all
-	}
-	return nil
 }

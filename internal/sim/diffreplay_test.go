@@ -7,6 +7,7 @@ import (
 	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/obs"
+	"mobickpt/internal/protocol"
 	"mobickpt/internal/replaycmp"
 	"mobickpt/internal/trace"
 )
@@ -73,7 +74,14 @@ func TestReplayValidateRejects(t *testing.T) {
 // the replay engine is deterministic by construction, and this is what
 // lets it serve as the oracle side of the differential test.
 func TestReplayDeterministic(t *testing.T) {
-	for _, proto := range []string{"TP", "BCS", "QBC", "UNC"} {
+	for _, proto := range protocol.Names() {
+		p, err := protocol.Probe(proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if protocol.Clocked(p) {
+			continue // no replay drives a clock
+		}
 		a, err := Run(Config{Schedule: replaySchedule(proto), Checks: true})
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)

@@ -6,6 +6,7 @@ import (
 	"mobickpt/internal/des"
 	"mobickpt/internal/mlog"
 	"mobickpt/internal/mobile"
+	"mobickpt/internal/protocol"
 	"mobickpt/internal/recovery"
 	"mobickpt/internal/stats"
 	"mobickpt/internal/storage"
@@ -21,12 +22,10 @@ import (
 // bare failure cut. Run (replay-aware) propagation on the result to
 // reach consistency.
 func SeedCut(pr *ProtocolResult, n int, failed mobile.HostID) recovery.Cut {
-	switch pr.Name {
-	case TP:
-		if meta := TPMeta(pr); meta != nil {
-			return recovery.VectorCut(pr.Store, meta, n, failed)
-		}
-	case BCS, QBC, MS:
+	if meta := TPMeta(pr); meta != nil {
+		return recovery.VectorCut(pr.Store, meta, n, failed)
+	}
+	if _, ok := pr.Instance.(protocol.Indexed); ok {
 		return recovery.LatestIndexCut(pr.Store, n, failed)
 	}
 	return recovery.FailureCut(pr.Store, n, failed)

@@ -50,9 +50,15 @@ const (
 	MS  ProtocolName = "MS"  // timer-driven index protocol (extension)
 )
 
-// AllProtocols lists every selectable protocol.
+// AllProtocols lists every selectable protocol, in the order of the
+// protocol registry (which is also the row order of result tables).
 func AllProtocols() []ProtocolName {
-	return []ProtocolName{TP, BCS, QBC, UNC, CL, PS, MS}
+	names := protocol.Names()
+	all := make([]ProtocolName, len(names))
+	for i, name := range names {
+		all[i] = ProtocolName(name)
+	}
+	return all
 }
 
 // PaperProtocols lists the three protocols the paper's figures compare.
@@ -252,12 +258,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("sim: protocol %s selected twice", p)
 		}
 		seen[p] = true
-		switch p {
-		case TP, BCS, QBC, UNC, CL, PS, MS:
-		default:
-			return fmt.Errorf("sim: unknown protocol %q", p)
+		inst, err := protocol.Probe(string(p))
+		if err != nil {
+			return fmt.Errorf("sim: %w", err)
 		}
-		if (p == CL || p == PS || p == MS) && c.SnapshotPeriod <= 0 {
+		if protocol.Clocked(inst) && c.SnapshotPeriod <= 0 {
 			return fmt.Errorf("sim: %s requires SnapshotPeriod > 0", p)
 		}
 	}
@@ -510,10 +515,16 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := e.run()
-	if e.checks != nil {
-		if err := e.finishChecks(res); err != nil {
-			return res, err
-		}
+	var vs check.Violations
+	for i, ck := range e.checks {
+		// Lines below the highest frontier any GC pass pruned at lost
+		// members by design and are exempt (with dynamic joins the
+		// end-of-run stable index can sit below that frontier, so the
+		// frontier is tracked per pass, not recomputed here).
+		vs = append(vs, reconcile(ck, e.counts[i], &res.Protocols[i], res.FinalHosts, e.gcFrontier[i], e.sim.Now())...)
+	}
+	if len(vs) > 0 {
+		return res, vs
 	}
 	return res, nil
 }
@@ -552,6 +563,9 @@ type engine struct {
 	joinRNG *rng.Source
 
 	protos []protocol.Protocol
+	// indexed[i] records whether protos[i] is index-based
+	// (protocol.Indexed): GC and the recovery-line sweep apply only there.
+	indexed []bool
 	// recyclers[i] is protos[i]'s piggyback free-list hook (nil when the
 	// protocol's piggybacks need no recycling); plFree recycles the
 	// per-message payload carriers. Together they keep the send→deliver
@@ -912,6 +926,7 @@ func newEngine(cfg Config) (*engine, error) {
 	mssOf := func(h mobile.HostID) mobile.MSSID { return net.Host(h).LastMSS() }
 
 	e.protos = make([]protocol.Protocol, len(cfg.Protocols))
+	e.indexed = make([]bool, len(cfg.Protocols))
 	e.stores = make([]*storage.Store, len(cfg.Protocols))
 	e.traces = make([]*trace.Trace, len(cfg.Protocols))
 	e.mlogs = make([]*mlog.Log, len(cfg.Protocols))
@@ -949,11 +964,7 @@ func newEngine(cfg Config) (*engine, error) {
 			e.traces[i] = trace.New(n)
 		}
 		if cfg.MessageLog != mlog.Off {
-			lcfg := mlog.DefaultConfig(cfg.MessageLog)
-			if cfg.LogFlushBatch > 0 {
-				lcfg.FlushBatch = cfg.LogFlushBatch
-			}
-			lg, err := mlog.New(lcfg)
+			lg, err := mlog.New(cfg.MessageLog, cfg.LogFlushBatch)
 			if err != nil {
 				return nil, err
 			}
@@ -966,23 +977,12 @@ func newEngine(cfg Config) (*engine, error) {
 			}
 			e.mlogs[i] = lg
 		}
-		ck := e.checkpointer(i)
-		switch name {
-		case TP:
-			e.protos[i] = protocol.NewTP(n, ck, mssOf)
-		case BCS:
-			e.protos[i] = protocol.NewBCS(n, ck)
-		case QBC:
-			e.protos[i] = protocol.NewQBC(n, ck, e.stores[i])
-		case UNC:
-			e.protos[i] = protocol.NewUncoordinated(n, ck)
-		case CL:
-			e.protos[i] = protocol.NewChandyLamport(n, ck)
-		case PS:
-			e.protos[i] = protocol.NewPrakashSinghal(n, ck)
-		case MS:
-			e.protos[i] = protocol.NewMS(n, ck)
+		mk, err := protocol.Lookup(string(name))
+		if err != nil {
+			return nil, err
 		}
+		e.protos[i] = mk(n, e.checkpointer(i), e.stores[i], mssOf)
+		_, e.indexed[i] = e.protos[i].(protocol.Indexed)
 	}
 	e.recyclers = make([]protocol.Recycler, len(e.protos))
 	for i, p := range e.protos {
@@ -1378,10 +1378,8 @@ func (e *engine) scheduleGC() {
 		// Start sits at a low index, and pruning past it would destroy the
 		// lines its failure still needs.
 		n := e.net.NumHosts()
-		for i, name := range e.cfg.Protocols {
-			switch name {
-			case BCS, QBC, MS:
-			default:
+		for i, indexed := range e.indexed {
+			if !indexed {
 				continue
 			}
 			if stable := recovery.StableIndex(e.stores[i], n); stable > e.gcFrontier[i] {
@@ -1545,23 +1543,7 @@ func (e *engine) run() *Result {
 	}
 	model := energy.DefaultModel()
 	for i, p := range e.protos {
-		initial, basic, forced := e.stores[i].CountByKind(-1)
-		pr := ProtocolResult{
-			Name:           e.cfg.Protocols[i],
-			Ntot:           int64(basic + forced),
-			Initial:        int64(initial),
-			Basic:          int64(basic),
-			Forced:         int64(forced),
-			PiggybackBytes: p.PiggybackBytes(),
-			Storage:        e.stores[i].Counters(),
-			Store:          e.stores[i],
-			Trace:          e.traces[i],
-			MLog:           e.mlogs[i],
-			Instance:       p,
-		}
-		if e.mlogs[i] != nil {
-			pr.Log = e.mlogs[i].Counters()
-		}
+		pr := protocolResult(p, e.stores[i], e.traces[i], e.mlogs[i])
 		if init, ok := p.(protocol.Initiator); ok {
 			pr.CtrlMessages = init.ControlMessages()
 		}
@@ -1603,45 +1585,56 @@ func (e *engine) probeReport() *ProbeReport {
 	return r
 }
 
-// finishChecks runs the end-of-run reconciliation of the invariant
-// checker — engine tallies vs stable-storage chains, Ntot arithmetic,
-// one initial checkpoint per (possibly joined) host — plus the post-run
-// recovery-line sweep over recorded traces. It returns a
-// check.Violations error when any invariant broke.
-func (e *engine) finishChecks(res *Result) error {
-	var all check.Violations
-	for i, ck := range e.checks {
-		all = append(all, ck.Finish(e.counts[i])...)
-		pr := &res.Protocols[i]
-		if pr.Ntot != pr.Basic+pr.Forced {
-			all = append(all, &check.Violation{
-				Protocol: string(pr.Name), Time: e.sim.Now(), Rule: "reconcile",
-				Detail: fmt.Sprintf("Ntot %d != basic %d + forced %d", pr.Ntot, pr.Basic, pr.Forced),
-			})
-		}
-		if pr.Initial != int64(res.FinalHosts) {
-			all = append(all, &check.Violation{
-				Protocol: string(pr.Name), Time: e.sim.Now(), Rule: "reconcile",
-				Detail: fmt.Sprintf("%d initial checkpoints for %d hosts", pr.Initial, res.FinalHosts),
-			})
-		}
-		if tr := e.traces[i]; tr != nil && e.mlogs[i] != nil {
-			all = append(all, check.LogReconciliation(string(pr.Name), e.mlogs[i], tr, res.FinalHosts)...)
-		}
-		if tr := e.traces[i]; tr != nil {
-			switch e.cfg.Protocols[i] {
-			case BCS, QBC, MS:
-				// Lines below the highest frontier any GC pass pruned at
-				// lost members by design and are exempt; everything above it
-				// must still be consistent (with dynamic joins the
-				// end-of-run stable index can sit below that frontier, so
-				// the frontier is tracked per pass, not recomputed here).
-				all = append(all, check.RecoveryLines(string(pr.Name), e.stores[i], tr, res.FinalHosts, e.gcFrontier[i])...)
-			}
-		}
+// protocolResult assembles the checkpoint tallies and the raw material of
+// one protocol slot, shared by the generative and the replay engine.
+func protocolResult(p protocol.Protocol, store *storage.Store, tr *trace.Trace, lg *mlog.Log) ProtocolResult {
+	initial, basic, forced := store.CountByKind(-1)
+	pr := ProtocolResult{
+		Name:           ProtocolName(p.Name()),
+		Ntot:           int64(basic + forced),
+		Initial:        int64(initial),
+		Basic:          int64(basic),
+		Forced:         int64(forced),
+		PiggybackBytes: p.PiggybackBytes(),
+		Storage:        store.Counters(),
+		Store:          store,
+		Trace:          tr,
+		MLog:           lg,
+		Instance:       p,
 	}
-	if len(all) > 0 {
-		return all
+	if lg != nil {
+		pr.Log = lg.Counters()
 	}
-	return nil
+	return pr
+}
+
+// reconcile is the end-of-run check of one protocol slot, shared by the
+// generative and the replay engine: the invariant checker's own
+// reconciliation against counts (the engine's per-host checkpoint
+// tally), the Ntot arithmetic, one initial checkpoint per (possibly
+// joined) host, the log/trace reconciliation, and — for index-based
+// protocols with a recorded trace — the recovery-line sweep over every
+// index from minIndex up.
+func reconcile(ck *check.Runtime, counts []int, pr *ProtocolResult, finalHosts, minIndex int, now des.Time) check.Violations {
+	vs := ck.Finish(counts)
+	name := string(pr.Name)
+	if pr.Ntot != pr.Basic+pr.Forced {
+		vs = append(vs, &check.Violation{
+			Protocol: name, Time: now, Rule: "reconcile",
+			Detail: fmt.Sprintf("Ntot %d != basic %d + forced %d", pr.Ntot, pr.Basic, pr.Forced),
+		})
+	}
+	if pr.Initial != int64(finalHosts) {
+		vs = append(vs, &check.Violation{
+			Protocol: name, Time: now, Rule: "reconcile",
+			Detail: fmt.Sprintf("%d initial checkpoints for %d hosts", pr.Initial, finalHosts),
+		})
+	}
+	if pr.Trace != nil && pr.MLog != nil {
+		vs = append(vs, check.LogReconciliation(name, pr.MLog, pr.Trace, finalHosts)...)
+	}
+	if _, indexed := pr.Instance.(protocol.Indexed); indexed && pr.Trace != nil {
+		vs = append(vs, check.RecoveryLines(name, pr.Store, pr.Trace, finalHosts, minIndex)...)
+	}
+	return vs
 }
